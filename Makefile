@@ -94,9 +94,9 @@ bench/dispatch:
 	$(GO) run ./cmd/dispatchbench
 
 # bench/manychares regenerates BENCH_manychares.json: the overdecomposition
-# sweep (scheduler mode × placement × grain × GOMAXPROCS, up to 1M chares)
-# that gates the lock-free mailbox and work-stealing scheduler. See
-# EXPERIMENTS.md §manychares for the protocol and acceptance bars.
+# sweep (placement × grain × GOMAXPROCS, up to 1M chares) of the
+# work-stealing PE scheduler. See EXPERIMENTS.md §manychares for the
+# protocol and acceptance bars.
 bench/manychares:
 	$(GO) run ./cmd/manychares
 

@@ -1,7 +1,9 @@
 package charmgo_test
 
 import (
+	"context"
 	"fmt"
+	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -148,7 +150,11 @@ func TestMultiProcessDisthello(t *testing.T) {
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("build: %v\n%s", err, out)
 	}
-	addrs := "127.0.0.1:39701,127.0.0.1:39702"
+	addrs := strings.Join(freeLocalAddrs(t, 2), ",")
+	// The context kills both processes if the job overruns, so a hung run
+	// cannot outlive the test and hold its ports.
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
 	var outs [2][]byte
 	var errs [2]error
 	var wg sync.WaitGroup
@@ -156,7 +162,7 @@ func TestMultiProcessDisthello(t *testing.T) {
 		wg.Add(1)
 		go func(node int) {
 			defer wg.Done()
-			cmd := exec.Command(bin)
+			cmd := exec.CommandContext(ctx, bin)
 			cmd.Env = append(os.Environ(),
 				"CHARMGO_ADDRS="+addrs,
 				fmt.Sprintf("CHARMGO_NODE=%d", node),
@@ -165,12 +171,9 @@ func TestMultiProcessDisthello(t *testing.T) {
 			outs[node], errs[node] = cmd.CombinedOutput()
 		}(node)
 	}
-	ok := make(chan struct{})
-	go func() { wg.Wait(); close(ok) }()
-	select {
-	case <-ok:
-	case <-time.After(120 * time.Second):
-		t.Fatal("multi-process job did not complete")
+	wg.Wait()
+	if ctx.Err() != nil {
+		t.Fatalf("multi-process job did not complete\nnode 0:\n%s\nnode 1:\n%s", outs[0], outs[1])
 	}
 	for node := 0; node < 2; node++ {
 		if errs[node] != nil {
@@ -187,4 +190,22 @@ func TestMultiProcessDisthello(t *testing.T) {
 	if !strings.Contains(combined, "sum of PE ids: 6") {
 		t.Errorf("missing reduction result in output:\n%s", combined)
 	}
+}
+
+// freeLocalAddrs returns n distinct loopback addresses whose ports the
+// kernel reported free. A fixed port inside the ephemeral range can be
+// taken at any moment by an outgoing connection of a concurrently running
+// test package.
+func freeLocalAddrs(t *testing.T, n int) []string {
+	t.Helper()
+	addrs := make([]string, n)
+	for i := range addrs {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close() // held until all n are chosen, so they differ
+		addrs[i] = ln.Addr().String()
+	}
+	return addrs
 }

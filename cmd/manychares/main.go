@@ -1,17 +1,12 @@
-// Manychares sweeps the per-PE scheduler across overdecomposition levels
-// (DESIGN.md §3.9, EXPERIMENTS.md §manychares): one in-process node with
-// several PEs hosts up to a million array elements, and every cell measures a
-// broadcast+reduce round under one of three scheduler modes —
-//
-//	mutex     legacy mutex+condvar ring mailbox (Config.MutexMailbox)
-//	lockfree  lock-free MPSC mailbox, no stealing (the default)
-//	steal     lock-free mailbox + within-node work stealing (Config.StealEnabled)
-//
-// crossed with placement (balanced block map vs. every element pinned to
-// PE 0) and message grain (empty EMs, a short CPU spin, or a sleep that
-// models blocking I/O). Skewed+sleep cells are where stealing pays: idle PEs
-// steal whole-chare run grants from PE 0's deque and the sleeps overlap.
-// Balanced cells guard the other direction — stealing must not tax the happy
+// Manychares sweeps the per-PE work-stealing scheduler across
+// overdecomposition levels (DESIGN.md §3.9, EXPERIMENTS.md §manychares): one
+// in-process node with several PEs hosts up to a million array elements, and
+// every cell measures a broadcast+reduce round for one placement (balanced
+// block map vs. every element pinned to PE 0) and message grain (empty EMs, a
+// short CPU spin, or a sleep that models blocking I/O). Skewed+sleep cells
+// are where stealing pays: idle PEs steal whole-chare run grants from PE 0's
+// deque and the sleeps overlap (latency hiding, not CPU balance). Balanced
+// cells guard the other direction — the scheduler must not tax the happy
 // path. Results land in BENCH_manychares.json via `make bench/manychares`.
 //
 //	go run ./cmd/manychares                # full sweep + BENCH_manychares.json
@@ -90,7 +85,6 @@ func (pinMap) ProcNum(index []int, numPEs int) int { return 0 }
 
 // result is one sweep cell.
 type result struct {
-	Scheduler  string  `json:"scheduler"` // mutex | lockfree | steal
 	Placement  string  `json:"placement"` // balanced | skewed_pe0
 	Grain      string  `json:"grain"`     // none | spin | sleep200us
 	Chares     int     `json:"chares"`
@@ -113,9 +107,9 @@ type report struct {
 }
 
 type cell struct {
-	sched, placement, grain string
-	chares, pes, gmp        int
-	rounds                  int
+	placement, grain string
+	chares, pes, gmp int
+	rounds           int
 }
 
 // grain parameters: the spin cell burns ~2µs of CPU per message so the EM
@@ -127,32 +121,42 @@ const (
 )
 
 // runCell runs the cell reps times and keeps the median-elapsed rep: the
-// short cells finish in tens of milliseconds, where scheduler-vs-scheduler
-// deltas are smaller than run-to-run noise on a shared box.
+// short cells finish in tens of milliseconds, where run-to-run noise on a
+// shared box is several percent.
 func runCell(c cell, reps int) result {
 	rs := make([]result, reps)
 	for i := range rs {
 		rs[i] = runOne(c)
 	}
+	return median(rs)
+}
+
+// median returns the median-elapsed result of rs (reordering rs).
+func median(rs []result) result {
 	sort.Slice(rs, func(i, j int) bool { return rs[i].ElapsedMs < rs[j].ElapsedMs })
 	return rs[len(rs)/2]
 }
 
 // spec round-trips a cell through the -cell flag for subprocess isolation.
 func (c cell) spec() string {
-	return fmt.Sprintf("%s,%s,%s,%d,%d,%d,%d",
-		c.sched, c.placement, c.grain, c.chares, c.pes, c.gmp, c.rounds)
+	return fmt.Sprintf("%s,%s,%d,%d,%d,%d",
+		c.placement, c.grain, c.chares, c.pes, c.gmp, c.rounds)
+}
+
+// id names a cell for -filter and -merge.
+func (c cell) id() string {
+	return fmt.Sprintf("%s/%s/%d/gmp%d", c.placement, c.grain, c.chares, c.gmp)
 }
 
 func parseCell(s string) (cell, error) {
 	f := strings.Split(s, ",")
-	if len(f) != 7 {
-		return cell{}, fmt.Errorf("cell spec %q: want 7 fields", s)
+	if len(f) != 6 {
+		return cell{}, fmt.Errorf("cell spec %q: want 6 fields", s)
 	}
 	var c cell
-	c.sched, c.placement, c.grain = f[0], f[1], f[2]
+	c.placement, c.grain = f[0], f[1]
 	for i, dst := range []*int{&c.chares, &c.pes, &c.gmp, &c.rounds} {
-		n, err := strconv.Atoi(f[3+i])
+		n, err := strconv.Atoi(f[2+i])
 		if err != nil {
 			return cell{}, fmt.Errorf("cell spec %q: %v", s, err)
 		}
@@ -164,8 +168,8 @@ func parseCell(s string) (cell, error) {
 // runCellIsolated re-execs this binary to run one cell in a fresh process.
 // Without isolation the 1M-chare cells inherit a multi-hundred-MB heap from
 // earlier cells in the sweep, and GC pacing during the timed rounds then
-// depends on sweep order — enough to flip scheduler-vs-scheduler verdicts
-// between runs. A pristine heap per cell makes the big cells reproducible.
+// depends on sweep order. A pristine heap per cell makes the big cells
+// reproducible.
 func runCellIsolated(c cell, reps int) result {
 	exe, err := os.Executable()
 	if err != nil {
@@ -190,20 +194,12 @@ func runOne(c cell) result {
 	prev := runtime.GOMAXPROCS(c.gmp)
 	defer runtime.GOMAXPROCS(prev)
 
-	cfg := core.Config{PEs: c.pes}
-	switch c.sched {
-	case "mutex":
-		cfg.MutexMailbox = true
-	case "steal":
-		cfg.StealEnabled = true
-		cfg.StealSeed = 12345
-	}
-	rt := core.NewRuntime(cfg)
+	rt := core.NewRuntime(core.Config{PEs: c.pes, StealSeed: 12345})
 	rt.Register(&manyWorker{})
 	rt.RegisterMap("pe0", pinMap{})
 
 	res := result{
-		Scheduler: c.sched, Placement: c.placement, Grain: c.grain,
+		Placement: c.placement, Grain: c.grain,
 		Chares: c.chares, PEs: c.pes, CharesPE: c.chares / c.pes,
 		Gomaxprocs: c.gmp, Rounds: c.rounds,
 	}
@@ -250,10 +246,10 @@ func main() {
 	quick := flag.Bool("quick", false, "CI-sized sweep (skip the 1M-chare cell)")
 	out := flag.String("o", "BENCH_manychares.json", "output file ('' = stdout table only)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the whole sweep")
-	filter := flag.String("filter", "", "only run cells whose sched/placement/grain/chares/gmpN id contains this substring")
+	filter := flag.String("filter", "", "only run cells whose placement/grain/chares/gmpN id contains this substring")
 	merge := flag.String("merge", "", "existing report to merge into: cells measured this run replace their counterparts, everything else is kept")
 	reps := flag.Int("reps", 5, "repetitions per cell; the median-elapsed rep is reported")
-	cellSpec := flag.String("cell", "", "internal: run one sched,placement,grain,chares,pes,gmp,rounds cell and print its result as JSON")
+	cellSpec := flag.String("cell", "", "internal: run one placement,grain,chares,pes,gmp,rounds cell and print its result as JSON")
 	flag.Parse()
 	if *cellSpec != "" {
 		c, err := parseCell(*cellSpec)
@@ -281,11 +277,8 @@ func main() {
 
 	const pes = 4
 	maxProcs := []int{1, 4}
-	scheds := []string{"mutex", "lockfree", "steal"}
 
-	// Groups share every axis but the scheduler; sched is filled in per rep
-	// below so the three schedulers of a group run back-to-back (paired).
-	var groups []cell
+	var cells []cell
 	// Balanced throughput ladder: overdecomposition from 1Ki to 256Ki
 	// chares/PE (the top rung is the 1M+-chare cell). Empty EMs make this a
 	// pure scheduler-overhead measurement.
@@ -304,64 +297,50 @@ func main() {
 			rounds = 16
 		}
 		for _, gmp := range maxProcs {
-			groups = append(groups, cell{"", "balanced", "none", n, pes, gmp, rounds})
+			cells = append(cells, cell{"balanced", "none", n, pes, gmp, rounds})
 		}
 	}
-	// Balanced CPU grain: stealing must not regress work-dominated cells.
+	// Balanced CPU grain: stealing must not tax work-dominated cells.
 	for _, gmp := range maxProcs {
-		groups = append(groups, cell{"", "balanced", "spin", 4 << 10, pes, gmp, 8})
+		cells = append(cells, cell{"balanced", "spin", 4 << 10, pes, gmp, 8})
 	}
 	// Skewed sleep grain: all elements on PE 0; only run-grant stealing can
 	// overlap the sleeps. This is the cell stealing exists for.
 	for _, gmp := range maxProcs {
-		groups = append(groups, cell{"", "skewed_pe0", "sleep200us", 256, pes, gmp, 2})
+		cells = append(cells, cell{"skewed_pe0", "sleep200us", 256, pes, gmp, 2})
 	}
 
 	rep := report{
-		Benchmark: "overdecomposition sweep: broadcast+reduce round per scheduler mode",
+		Benchmark: "overdecomposition sweep: broadcast+reduce round on the work-stealing PE scheduler",
 		GoVersion: runtime.Version(),
 		NumCPU:    runtime.NumCPU(),
 	}
-	fmt.Printf("%-9s %-11s %-10s %9s %4s %4s %8s %10s %12s %8s\n",
-		"sched", "placement", "grain", "chares", "pes", "gmp", "rounds", "ms/sweep", "msgs/s", "steals")
-	// Paired interleaving: within each group the schedulers alternate
-	// mutex/lockfree/steal every rep, so slow load drift on a shared box hits
-	// all three alike, and the per-scheduler medians compare like with like.
-	for _, g := range groups {
-		n := *reps
-		acc := make(map[string][]result, len(scheds))
-		for i := 0; i < n; i++ {
-			for _, s := range scheds {
-				c := g
-				c.sched = s
-				id := fmt.Sprintf("%s/%s/%s/%d/gmp%d", c.sched, c.placement, c.grain, c.chares, c.gmp)
-				if *filter != "" && !strings.Contains(id, *filter) {
-					continue
-				}
-				if *cpuprofile != "" {
-					acc[s] = append(acc[s], runOne(c)) // profiling needs the cells in-process
-				} else {
-					acc[s] = append(acc[s], runCellIsolated(c, 1))
-				}
-			}
+	fmt.Printf("%-11s %-10s %9s %4s %4s %8s %10s %12s %8s\n",
+		"placement", "grain", "chares", "pes", "gmp", "rounds", "ms/sweep", "msgs/s", "steals")
+	// Every rep of a cell runs in its own subprocess; profiling needs the
+	// cells in-process.
+	runRep := func(c cell) result { return runCellIsolated(c, 1) }
+	if *cpuprofile != "" {
+		runRep = runOne
+	}
+	for _, c := range cells {
+		if *filter != "" && !strings.Contains(c.id(), *filter) {
+			continue
 		}
-		for _, s := range scheds {
-			rs := acc[s]
-			if len(rs) == 0 {
-				continue
-			}
-			sort.Slice(rs, func(i, j int) bool { return rs[i].ElapsedMs < rs[j].ElapsedMs })
-			r := rs[len(rs)/2]
-			rep.Results = append(rep.Results, r)
-			fmt.Printf("%-9s %-11s %-10s %9d %4d %4d %8d %10.1f %12.0f %8d\n",
-				r.Scheduler, r.Placement, r.Grain, r.Chares, r.PEs, r.Gomaxprocs, r.Rounds,
-				r.ElapsedMs, r.MsgsPerSec, r.Steals)
+		rs := make([]result, *reps)
+		for i := range rs {
+			rs[i] = runRep(c)
 		}
+		r := median(rs)
+		rep.Results = append(rep.Results, r)
+		fmt.Printf("%-11s %-10s %9d %4d %4d %8d %10.1f %12.0f %8d\n",
+			r.Placement, r.Grain, r.Chares, r.PEs, r.Gomaxprocs, r.Rounds,
+			r.ElapsedMs, r.MsgsPerSec, r.Steals)
 	}
 	if *merge != "" {
-		// Replace matching cells of the existing report: groups are measured
-		// independently (pairing is within-group), so a per-group rerun on a
-		// noisy box composes with the untouched remainder.
+		// Replace matching cells of the existing report: cells are measured
+		// independently, so a per-cell rerun on a noisy box composes with the
+		// untouched remainder.
 		prev, err := os.ReadFile(*merge)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "manychares:", err)
@@ -373,7 +352,7 @@ func main() {
 			os.Exit(1)
 		}
 		key := func(r result) string {
-			return fmt.Sprintf("%s/%s/%s/%d/gmp%d", r.Scheduler, r.Placement, r.Grain, r.Chares, r.Gomaxprocs)
+			return cell{placement: r.Placement, grain: r.Grain, chares: r.Chares, gmp: r.Gomaxprocs}.id()
 		}
 		fresh := make(map[string]result, len(rep.Results))
 		for _, r := range rep.Results {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sync"
+	"time"
 
 	"charmgo/internal/expr"
 )
@@ -43,8 +44,9 @@ func (c *Chare) ctx() *elemCtx {
 	return c.ec
 }
 
-// MyPE returns the PE currently hosting this chare.
-func (c *Chare) MyPE() PE { return c.ctx().p.pe }
+// MyPE returns the PE currently hosting this chare — its owner, even while a
+// sibling PE runs a stolen run grant for it (steal.go).
+func (c *Chare) MyPE() PE { return c.ctx().el.owner.pe }
 
 // NumPEs returns the total number of PEs in the job (paper: charm.numPes()).
 func (c *Chare) NumPEs() int { return c.ctx().p.rt.totalPEs }
@@ -258,13 +260,27 @@ func (c *Chare) AtSync() {
 	ec.el.atSync.Store(true)
 	// On a thief PE the stats scan must wait for the owner: the grant tail
 	// (steal.go runGrant) hands the grant home, and the owner runs the scan.
-	if ec.p == ec.el.owner || ec.el.owner == nil {
+	if ec.p == ec.el.owner {
 		ec.p.lbMaybeSendStats(ec.coll)
 	}
 }
 
 // Load returns the wall-clock entry-method time accumulated by this chare
-// since the last load-balancing round (exposed for tests and examples).
+// since the last load-balancing round (exposed for tests and examples), or
+// the figure last given to SetLoad in this round.
 func (c *Chare) Load() float64 {
 	return c.ctx().el.loadDur().Seconds()
+}
+
+// SetLoad replaces this chare's measured load for the current
+// load-balancing window with an application-supplied figure, in seconds
+// (Charm++'s setObjTime). Entry-method time is not added on top of it until
+// the window ends at the next ResumeFromSync, so the figure the LB strategy
+// sees is exactly the one given; call it just before AtSync. Useful when
+// wall time misstates a chare's work — e.g. when its PE's thread shares a
+// core with other processes and is descheduled mid-method.
+func (c *Chare) SetLoad(seconds float64) {
+	el := c.ctx().el
+	el.userLoad.Store(true)
+	el.setLoad(time.Duration(seconds * float64(time.Second)))
 }

@@ -4,6 +4,7 @@ package core
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -679,6 +680,94 @@ func (l *LoadProbe) Burn(ms int) {
 }
 
 func (l *LoadProbe) MyLoad(done Future) { done.Send(l.Load()) }
+
+// SetLoadUnit fixes its load for the first LB window and leaves the second
+// to measurement.
+type SetLoadUnit struct {
+	Chare
+	Resumed bool
+	Done    Future
+}
+
+func spinFor(d time.Duration) {
+	for end := time.Now().Add(d); time.Now().Before(end); {
+	}
+}
+
+func (u *SetLoadUnit) Run(done Future) {
+	u.Done = done
+	spinFor(2 * time.Millisecond)
+	u.SetLoad(float64(u.ThisIndex[0] + 1))
+	spinFor(2 * time.Millisecond) // after SetLoad: must not be added
+	u.AtSync()
+}
+
+func (u *SetLoadUnit) ResumeFromSync() {
+	if u.Resumed {
+		u.Contribute(1, SumReducer, u.Done)
+		return
+	}
+	u.Resumed = true
+	spinFor(2 * time.Millisecond)
+	u.AtSync()
+}
+
+// loadRecorder is an LB strategy that records the loads it is given and
+// moves nothing.
+type loadRecorder struct {
+	mu     sync.Mutex
+	rounds [][]LBObject
+}
+
+func (r *loadRecorder) Name() string { return "load-recorder" }
+func (r *loadRecorder) Assign(objs []LBObject, numPEs int) map[string]PE {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.rounds = append(r.rounds, append([]LBObject(nil), objs...))
+	return nil
+}
+
+// TestSetLoadReplacesMeasuredLoad: the LB strategy sees exactly the load a
+// chare set, with no entry-method time added after the call, and the next
+// window is measured again.
+func TestSetLoadReplacesMeasuredLoad(t *testing.T) {
+	rec := &loadRecorder{}
+	const n = 4
+	runJob(t, Config{PEs: 2, LB: rec}, func(rt *Runtime) {
+		rt.Register(&SetLoadUnit{})
+	}, func(self *Chare) {
+		done := self.CreateFuture()
+		arr := self.NewArray(&SetLoadUnit{}, []int{n})
+		arr.Call("Run", done)
+		if got := done.Get(); got != n {
+			t.Errorf("completed %v elements, want %d", got, n)
+		}
+	})
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	if len(rec.rounds) != 2 {
+		t.Fatalf("LB rounds = %d, want 2", len(rec.rounds))
+	}
+	for _, o := range rec.rounds[0] {
+		idx := keyIdx(o.Key)
+		if want := float64(idx[0] + 1); o.Load != want {
+			t.Errorf("round 1, element %v: load %v, want the set %v", idx, o.Load, want)
+		}
+	}
+	// Round 2 is measured: ~2ms per element, except that the element whose
+	// AtSync completes its PE's set is scanned before its own entry method
+	// is accounted.
+	total := 0.0
+	for _, o := range rec.rounds[1] {
+		if o.Load >= 0.5 {
+			t.Errorf("round 2: load %v, want a measured figure, not the set one", o.Load)
+		}
+		total += o.Load
+	}
+	if total < 0.003 {
+		t.Errorf("round 2: total load %v, want at least two measured ~2ms windows", total)
+	}
+}
 
 func TestChareLoadAccounting(t *testing.T) {
 	runJob(t, Config{PEs: 2}, func(rt *Runtime) {

@@ -580,7 +580,7 @@ func (p *peState) introLBMoves(lm *introLBMovesMsg) {
 		moving = append(moving, el)
 	}
 	for _, el := range moving {
-		if el.stealable {
+		if coll.ct.stealable {
 			el.ensureRunq()
 			// Stealable element: the move must hold the run grant (a thief may
 			// be executing it). If another PE holds the grant, its release

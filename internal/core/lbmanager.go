@@ -104,7 +104,7 @@ func (p *peState) lbApplyMoves(lm *lbMovesMsg) {
 		}
 	}
 	for _, el := range moving {
-		if el.stealable {
+		if coll.ct.stealable {
 			// Stealable element: acquire the run grant before migrating (the
 			// element may be executing on a sibling PE right now). If another
 			// PE holds it, its release re-check observes the migrateTo we just
@@ -137,6 +137,7 @@ func (p *peState) lbResume(cid CID) {
 	els := make([]*element, 0, len(coll.elems))
 	for _, el := range coll.elems {
 		el.atSync.Store(false)
+		el.userLoad.Store(false)
 		el.setLoad(0)
 		els = append(els, el)
 	}
@@ -149,7 +150,7 @@ func (p *peState) lbResume(cid CID) {
 			continue
 		}
 		m := &Message{Kind: mInvoke, CID: cid, Idx: el.idx, MID: info.id, Method: "ResumeFromSync", Src: p.pe}
-		if el.stealable {
+		if coll.ct.stealable {
 			// Stealable element: ResumeFromSync rides the run-grant path like
 			// any other invoke (it may be executing on a sibling right now).
 			p.runqPush(el, m)

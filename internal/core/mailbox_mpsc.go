@@ -187,20 +187,6 @@ func (mb *lfMailbox) tryPop() (*Message, bool) {
 	}
 }
 
-// pop dequeues the next message, parking until one is available or the
-// mailbox is closed and drained (ok=false).
-func (mb *lfMailbox) pop() (*Message, bool) {
-	for {
-		if m, ok := mb.tryPop(); ok {
-			return m, true
-		}
-		if mb.closed.Load() && mb.depth.Load() == 0 && mb.prioN.Load() == 0 {
-			return nil, false
-		}
-		mb.park(nil)
-	}
-}
-
 // park blocks until a wake token arrives, unless mailbox work (or external
 // work reported by also — the steal loop's deque scan) is already pending.
 func (mb *lfMailbox) park(also func() bool) {
@@ -222,7 +208,7 @@ func (mb *lfMailbox) len() int {
 }
 
 // close makes future pushes fail and unparks the consumer; already-queued
-// messages still drain through pop/tryPop.
+// messages still drain through tryPop.
 func (mb *lfMailbox) close() {
 	mb.closed.Store(true)
 	mb.parked.Store(false)

@@ -12,6 +12,21 @@ func msgWithSeq(producer int, seq int32) *Message {
 	return &Message{Kind: mInvoke, Src: PE(producer), MID: seq}
 }
 
+// popWait consumes the way the PE scheduler loop does — tryPop, and park
+// while the mailbox is empty — and gives up (ok=false) once the mailbox is
+// closed and drained.
+func popWait(mb *lfMailbox) (*Message, bool) {
+	for {
+		if m, ok := mb.tryPop(); ok {
+			return m, true
+		}
+		if mb.closed.Load() {
+			return nil, false
+		}
+		mb.park(nil)
+	}
+}
+
 func TestLFMailboxFIFOSingleProducer(t *testing.T) {
 	mb := newLFMailbox()
 	const n = 4 * lfSegSize // cross several segment boundaries
@@ -110,7 +125,7 @@ func TestLFMailboxParkWake(t *testing.T) {
 	mb := newLFMailbox()
 	popped := make(chan *Message, 1)
 	go func() {
-		m, ok := mb.pop()
+		m, ok := popWait(mb)
 		if ok {
 			popped <- m
 		}
@@ -151,13 +166,13 @@ func TestLFMailboxCloseDrains(t *testing.T) {
 	if mb.push(msgWithSeq(0, 3)) {
 		t.Fatal("push after close succeeded")
 	}
-	if m, ok := mb.pop(); !ok || m.MID != 1 {
+	if m, ok := popWait(mb); !ok || m.MID != 1 {
 		t.Fatalf("queued message lost at close: %v ok=%v", m, ok)
 	}
-	if m, ok := mb.pop(); !ok || m.MID != 2 {
+	if m, ok := popWait(mb); !ok || m.MID != 2 {
 		t.Fatalf("queued message lost at close: %v ok=%v", m, ok)
 	}
-	if _, ok := mb.pop(); ok {
+	if _, ok := popWait(mb); ok {
 		t.Fatal("pop on closed+drained mailbox returned a message")
 	}
 }
@@ -166,7 +181,7 @@ func TestLFMailboxCloseUnparks(t *testing.T) {
 	mb := newLFMailbox()
 	ret := make(chan bool, 1)
 	go func() {
-		_, ok := mb.pop()
+		_, ok := popWait(mb)
 		ret <- ok
 	}()
 	time.Sleep(20 * time.Millisecond)
@@ -197,5 +212,262 @@ func TestLFMailboxPushAllocs(t *testing.T) {
 	})
 	if avg > 0.05 {
 		t.Fatalf("lock-free push allocates %.3f objects/op, want ~0 (amortized segment only)", avg)
+	}
+}
+
+// TestMailboxFIFO interleaves pushes and pops so the consumer repeatedly
+// catches up with the producer mid-segment and then follows it across
+// segment boundaries.
+func TestMailboxFIFO(t *testing.T) {
+	mb := newLFMailbox()
+	next, expect := int32(0), int32(0)
+	for round := 0; round < 3*lfSegSize/2; round++ {
+		for i := 0; i < 3; i++ {
+			mb.push(msgWithSeq(0, next))
+			next++
+		}
+		for i := 0; i < 2; i++ {
+			m, ok := mb.tryPop()
+			if !ok || m.MID != expect {
+				t.Fatalf("round %d: got %v ok=%v, want %d", round, m, ok, expect)
+			}
+			expect++
+		}
+	}
+	for ; expect < next; expect++ {
+		if m, ok := mb.tryPop(); !ok || m.MID != expect {
+			t.Fatalf("drain: got %v ok=%v, want %d", m, ok, expect)
+		}
+	}
+}
+
+// TestMailboxPushFront: a pushFront message always pops next, however often
+// it is interleaved with the main queue and wherever the main queue's head
+// and tail sit relative to segment boundaries.
+func TestMailboxPushFront(t *testing.T) {
+	mb := newLFMailbox()
+	next, expect := int32(0), int32(0)
+	for round := 0; round < lfSegSize; round++ {
+		for i := 0; i < 7; i++ {
+			mb.push(msgWithSeq(0, next))
+			next++
+		}
+		mb.pushFront(&Message{Kind: mExit, MID: -1})
+		if m, ok := mb.tryPop(); !ok || m.MID != -1 {
+			t.Fatalf("round %d: pushFront not first: %v ok=%v", round, m, ok)
+		}
+		for i := 0; i < 5; i++ {
+			m, ok := mb.tryPop()
+			if !ok || m.MID != expect {
+				t.Fatalf("round %d: got %v ok=%v, want %d", round, m, ok, expect)
+			}
+			expect++
+		}
+	}
+	for ; expect < next; expect++ {
+		if m, ok := mb.tryPop(); !ok || m.MID != expect {
+			t.Fatalf("drain: got %v ok=%v, want %d", m, ok, expect)
+		}
+	}
+	if mb.len() != 0 {
+		t.Fatalf("len = %d after drain", mb.len())
+	}
+}
+
+// TestMailboxRingWraparound: the consumer keeps pace with the producer, so
+// the queue stays short while its head and tail cross many segment
+// boundaries together, with a pushFront on every round.
+func TestMailboxRingWraparound(t *testing.T) {
+	mb := newLFMailbox()
+	next, expect := int32(0), int32(0)
+	for round := 0; round < 3*lfSegSize; round++ {
+		for i := 0; i < 5; i++ {
+			mb.push(msgWithSeq(0, next))
+			next++
+		}
+		mb.pushFront(&Message{Kind: mExit, MID: -1})
+		if m, ok := mb.tryPop(); !ok || m.MID != -1 {
+			t.Fatalf("round %d: pushFront not first: %v ok=%v", round, m, ok)
+		}
+		for ; expect < next; expect++ {
+			if m, ok := mb.tryPop(); !ok || m.MID != expect {
+				t.Fatalf("round %d: got %v ok=%v, want %d", round, m, ok, expect)
+			}
+		}
+		if mb.len() != 0 {
+			t.Fatalf("round %d: len = %d after drain", round, mb.len())
+		}
+	}
+}
+
+// TestMailboxGrowUnwrapped: filling an empty mailbox well past one segment
+// in a single run links new segments behind an untouched head; len tracks
+// every push, the drain is FIFO, and the drained mailbox keeps working.
+func TestMailboxGrowUnwrapped(t *testing.T) {
+	mb := newLFMailbox()
+	const n = 2*lfSegSize + 100
+	for i := int32(0); i < n; i++ {
+		mb.push(msgWithSeq(0, i))
+		if got := mb.len(); got != int(i)+1 {
+			t.Fatalf("after push %d: len = %d", i, got)
+		}
+	}
+	for i := int32(0); i < n; i++ {
+		if m, ok := mb.tryPop(); !ok || m.MID != i {
+			t.Fatalf("pop %d: got %v ok=%v", i, m, ok)
+		}
+	}
+	if _, ok := mb.tryPop(); ok {
+		t.Fatal("tryPop on drained mailbox returned a message")
+	}
+	mb.push(msgWithSeq(0, n))
+	if m, ok := mb.tryPop(); !ok || m.MID != n {
+		t.Fatalf("push after drain: got %v ok=%v", m, ok)
+	}
+}
+
+// TestMailboxGrowWrapped: the consumer's head sits near the end of a
+// segment when the producer's tail overflows into the next one, so two
+// segments hold live messages at once.
+func TestMailboxGrowWrapped(t *testing.T) {
+	mb := newLFMailbox()
+	next := int32(0)
+	for ; next < lfSegSize; next++ {
+		mb.push(msgWithSeq(0, next))
+	}
+	expect := int32(0)
+	for ; expect < lfSegSize-4; expect++ {
+		if m, ok := mb.tryPop(); !ok || m.MID != expect {
+			t.Fatalf("warmup pop: got %v ok=%v, want %d", m, ok, expect)
+		}
+	}
+	// Four messages are left in the first segment; the next pushes link a
+	// second one and fill it.
+	for i := 0; i <= lfSegSize; i++ {
+		mb.push(msgWithSeq(0, next))
+		next++
+	}
+	if got, want := mb.len(), int(next-expect); got != want {
+		t.Fatalf("len = %d, want %d", got, want)
+	}
+	for ; expect < next; expect++ {
+		if m, ok := mb.tryPop(); !ok || m.MID != expect {
+			t.Fatalf("pop: got %v ok=%v, want %d", m, ok, expect)
+		}
+	}
+	if mb.len() != 0 {
+		t.Fatalf("len = %d after drain", mb.len())
+	}
+}
+
+func TestMailboxTryPop(t *testing.T) {
+	mb := newLFMailbox()
+	if _, ok := mb.tryPop(); ok {
+		t.Error("tryPop on empty returned ok")
+	}
+	mb.push(msgWithSeq(0, 5))
+	if m, ok := mb.tryPop(); !ok || m.MID != 5 {
+		t.Errorf("tryPop = %v, %v", m, ok)
+	}
+	if mb.len() != 0 {
+		t.Errorf("len = %d", mb.len())
+	}
+	if _, ok := mb.tryPop(); ok {
+		t.Error("tryPop on drained mailbox returned ok")
+	}
+}
+
+// TestMailboxPushAll: a batch lands behind earlier single pushes, an empty
+// batch is accepted, and a closed mailbox rejects batches.
+func TestMailboxPushAll(t *testing.T) {
+	mb := newLFMailbox()
+	mb.push(msgWithSeq(0, 0))
+	batch := make([]*Message, 50)
+	for i := range batch {
+		batch[i] = msgWithSeq(0, int32(i+1))
+	}
+	if !mb.pushAll(batch) {
+		t.Fatal("pushAll failed")
+	}
+	if !mb.pushAll(nil) {
+		t.Fatal("empty pushAll failed")
+	}
+	if mb.len() != 51 {
+		t.Fatalf("len = %d, want 51", mb.len())
+	}
+	for i := int32(0); i < 51; i++ {
+		if m, ok := mb.tryPop(); !ok || m.MID != i {
+			t.Fatalf("pop %d: got %v ok=%v", i, m, ok)
+		}
+	}
+	mb.close()
+	if mb.pushAll(batch) {
+		t.Error("pushAll after close succeeded")
+	}
+}
+
+// TestMailboxCloseUnblocksPop: close wakes a consumer parked the way the
+// scheduler parks — with a sibling-deque probe that finds nothing — and
+// later pushes fail.
+func TestMailboxCloseUnblocksPop(t *testing.T) {
+	mb := newLFMailbox()
+	ret := make(chan struct{})
+	go func() {
+		mb.park(func() bool { return false })
+		close(ret)
+	}()
+	time.Sleep(20 * time.Millisecond)
+	mb.close()
+	select {
+	case <-ret:
+	case <-time.After(5 * time.Second):
+		t.Fatal("close did not unpark the consumer")
+	}
+	if mb.push(&Message{}) {
+		t.Error("push after close succeeded")
+	}
+}
+
+// TestMailboxConcurrentProducers: producers race a consumer that parks
+// whenever it runs dry, so every wake handshake is exercised under
+// contention; nothing may be lost or slept through.
+func TestMailboxConcurrentProducers(t *testing.T) {
+	mb := newLFMailbox()
+	const producers, each = 8, 500
+	var wg sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				mb.push(msgWithSeq(p, int32(i)))
+				if i%50 == 0 {
+					time.Sleep(50 * time.Microsecond) // let the consumer run dry and park
+				}
+			}
+		}(p)
+	}
+	done := make(chan [producers]int)
+	go func() {
+		var counts [producers]int
+		for i := 0; i < producers*each; i++ {
+			m, ok := popWait(mb)
+			if !ok {
+				break
+			}
+			counts[m.Src]++
+		}
+		done <- counts
+	}()
+	wg.Wait()
+	select {
+	case counts := <-done:
+		for p, n := range counts {
+			if n != each {
+				t.Errorf("producer %d delivered %d of %d", p, n, each)
+			}
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("consumer parked through a push (lost wakeup)")
 	}
 }

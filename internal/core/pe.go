@@ -13,30 +13,15 @@ import (
 	"charmgo/internal/ser"
 )
 
-// mboxQ is the mailbox contract a PE scheduler drains: the lock-free MPSC
-// queue (mailbox_mpsc.go, the default) or the legacy mutex ring
-// (Config.MutexMailbox).
-type mboxQ interface {
-	push(*Message) bool
-	pushAll([]*Message) bool
-	pushFront(*Message) bool
-	pop() (*Message, bool)
-	tryPop() (*Message, bool)
-	len() int
-	close()
-	wake()
-}
-
 // peState is one processing element: a scheduler goroutine, its mailbox, and
-// the chares it currently hosts. All fields except the mailbox (and, under
-// work stealing, the deque/runq/idle machinery in steal.go) are owned by the
-// scheduler (or by the single entry-method thread currently holding the PE
-// token), so no further locking is needed.
+// the chares it currently hosts. All fields except the mailbox and the
+// work-stealing deque/idle machinery (steal.go) are owned by the scheduler
+// (or by the single entry-method thread currently holding the PE token), so
+// no further locking is needed.
 type peState struct {
 	rt   *Runtime
 	pe   PE
-	mbox mboxQ
-	lfmb *lfMailbox // concrete mailbox when lock-free (nil under MutexMailbox)
+	mbox *lfMailbox
 
 	colls       map[CID]*localColl
 	pendingColl map[CID][]*Message // messages for collections not yet created here
@@ -61,11 +46,10 @@ type peState struct {
 
 	ftG map[int64]*ftGatherState // in-flight ft checkpoint gathers (node-first PE)
 
-	// work stealing (steal.go); nil/zero unless Config.StealEnabled
+	// work stealing (steal.go)
 	deque      *stealDeque // bounded Chase-Lev deque of stealable run grants
 	grantOvf   []*element  // deque-overflow grants, this goroutine only
 	ovfHead    int         // first live entry in grantOvf
-	grantCap   int64       // publish throttle: max outstanding deque grants
 	stealRng   *rand.Rand  // victim selection; seeded from Config.StealSeed+pe
 	lastVictim int         // last successful victim (affinity re-probe)
 	idle       atomic.Bool // parked with nothing to run (wake-idle protocol)
@@ -124,6 +108,7 @@ type element struct {
 	chans       map[string]*chanStream // channel receive streams
 	redNo       atomic.Int64
 	load        atomic.Int64 // cumulative entry-method wall time, nanoseconds
+	userLoad    atomic.Bool  // SetLoad fixed load for this LB window: measurement off
 	atSync      atomic.Bool
 	migrateTo   atomic.Int32 // requested destination PE; -1 when none
 	lbMove      bool
@@ -131,22 +116,27 @@ type element struct {
 	inRecheck   bool
 	dead        bool
 
-	// work stealing (steal.go); stealable is set iff the element's type is
-	// stealable and Config.StealEnabled is on. The runq itself materializes
-	// lazily, on the first grant that is published rather than run inline —
-	// at 1M-element overdecomposition the per-element queue would otherwise
-	// dominate heap scan time. Always allocated before the grant becomes
-	// visible to other PEs (deque publication orders the write).
-	stealable bool
-	runq      *elemRunq    // per-element FIFO of granted-but-unexecuted messages
-	sched     atomic.Int32 // 1 while a PE (or an in-flight mRunGrant) holds the grant
-	owner     *peState     // the hosting PE (routing/migration authority)
+	// work stealing (steal.go), for elements whose type is stealable
+	// (registry.go). The runq materializes lazily, on the first grant that
+	// is published rather than run inline — at 1M-element overdecomposition
+	// the per-element queue would otherwise dominate heap scan time. Always
+	// allocated before the grant becomes visible to other PEs (deque
+	// publication orders the write).
+	runq  *elemRunq    // per-element FIFO of granted-but-unexecuted messages
+	sched atomic.Int32 // 1 while a PE (or an in-flight mRunGrant) holds the grant
+	owner *peState     // the hosting PE (routing/migration authority)
 }
 
 // loadDur returns the element's accumulated entry-method time.
 func (el *element) loadDur() time.Duration { return time.Duration(el.load.Load()) }
 
-func (el *element) addLoad(d time.Duration) { el.load.Add(int64(d)) }
+// addLoad accounts entry-method time, unless the application has fixed
+// this LB window's load with Chare.SetLoad.
+func (el *element) addLoad(d time.Duration) {
+	if !el.userLoad.Load() {
+		el.load.Add(int64(d))
+	}
+}
 func (el *element) setLoad(d time.Duration) { el.load.Store(int64(d)) }
 
 type waiter struct {
@@ -182,68 +172,17 @@ func newPEState(rt *Runtime, pe PE) *peState {
 		yieldCh:     make(chan thYield),
 		suspended:   map[*emThread]bool{},
 		lbRoot:      map[CID]*lbRootState{},
+		mbox:        newLFMailbox(),
+		deque:       newStealDeque(defaultDequeSize),
+		lastVictim:  -1,
 	}
-	if rt.cfg.MutexMailbox {
-		p.mbox = newMailbox()
-	} else {
-		p.lfmb = newLFMailbox()
-		p.mbox = p.lfmb
+	seed := rt.cfg.StealSeed
+	if seed == 0 {
+		seed = 0x5bd1e995
 	}
-	if rt.cfg.StealEnabled {
-		p.deque = newStealDeque(rt.dequeSize)
-		// Cap outstanding published grants well below the deque capacity:
-		// past this point thieves are not keeping up and further publishing
-		// only buys runq materialization and GC pressure (see runqPush).
-		p.grantCap = int64(rt.dequeSize) / 4
-		if p.grantCap > 64 {
-			p.grantCap = 64
-		} else if p.grantCap < 1 {
-			p.grantCap = 1
-		}
-		seed := rt.cfg.StealSeed
-		if seed == 0 {
-			seed = 0x5bd1e995
-		}
-		p.stealRng = rand.New(rand.NewSource(seed + int64(pe)*0x9e3779b9))
-		p.lastVictim = -1
-		p.alsoFn = p.parkCheck
-	}
+	p.stealRng = rand.New(rand.NewSource(seed + int64(pe)*0x9e3779b9))
+	p.alsoFn = p.parkCheck
 	return p
-}
-
-// loop is the PE scheduler: Charm++-style message-driven execution, one
-// entry method at a time. With Config.StealEnabled it runs the work-stealing
-// variant instead (steal.go).
-func (p *peState) loop() {
-	if p.rt.cfg.StealEnabled {
-		p.stealLoop()
-		return
-	}
-	tr := p.rt.cfg.Trace
-	lpe := p.lpe()
-	for !p.exiting {
-		m, ok := p.mbox.tryPop()
-		if !ok {
-			// Idle hook: before blocking, push out any aggregation batches this
-			// (or any) PE has pending so remote work is not stranded behind the
-			// flush timer while we have nothing to do.
-			if p.rt.agg != nil {
-				p.rt.agg.flushAll()
-			}
-			if tr != nil {
-				idleAt := tr.Since()
-				m, ok = p.mbox.pop()
-				tr.Idle(lpe, idleAt, tr.Since()-idleAt)
-			} else {
-				m, ok = p.mbox.pop()
-			}
-		}
-		if !ok {
-			break
-		}
-		p.dispatch(m)
-	}
-	p.shutdownThreads()
 }
 
 // dispatch accounts for and handles one dequeued message.
@@ -258,8 +197,12 @@ func (p *peState) dispatch(m *Message) {
 	if sm := p.rt.sampler; sm != nil {
 		p.stats.recvs.Add(1)
 	}
-	p.rt.qdCountRecv(m.Kind)
+	// Count the receive only once m has been handled: until then sent > recv,
+	// so quiescence cannot be declared between the dequeue and the entry
+	// method's own sends, however long that gap lasts.
+	kind := m.Kind
 	p.handle(m)
+	p.rt.qdCountRecv(kind)
 	// Zero-copy broadcast fan-out: the same *Message was queued to every
 	// local PE; the last one to finish handling it releases the shared
 	// payload (e.g. the pooled reassembly buffer of a fragmented
@@ -381,7 +324,7 @@ func (p *peState) handle(m *Message) {
 		p.rt.byeFrom(m.Ctl.(*elasticByeMsg).From)
 	case mChanMsg:
 		if el, done := p.routeElem(m); !done {
-			if el.stealable {
+			if el.coll.ct.stealable {
 				p.runqPush(el, m)
 				break
 			}
@@ -502,7 +445,6 @@ func (p *peState) newElement(coll *localColl, cid CID, idx []int, args []any) *e
 		owner: p,
 	}
 	el.migrateTo.Store(-1)
-	el.stealable = p.rt.cfg.StealEnabled && coll.ct.stealable
 	if coll.ct.fast {
 		el.fast = el.iface.(FastDispatcher)
 	}
@@ -703,7 +645,7 @@ func (p *peState) setHomeLoc(cid CID, key string, at PE) {
 // ---- entry-method delivery ----
 
 func (p *peState) deliverOrBuffer(coll *localColl, el *element, m *Message) {
-	if el.stealable {
+	if coll.ct.stealable {
 		// Stealable element: park the message in the element's run queue and
 		// make sure some PE holds (or will receive) the run grant (steal.go).
 		p.runqPush(el, m)
@@ -1087,8 +1029,9 @@ func (p *peState) migrateOut(el *element) {
 		// concurrently: forward the queued work behind the migrate message.
 		for _, m := range el.runq.takeAll() {
 			p.rt.runqBacklog.Add(-1)
-			p.rt.qdCountRecv(m.Kind) // close the runq hop; send() re-counts
+			kind := m.Kind // m belongs to the receiving PE once sent
 			p.rt.send(to, m)
+			p.rt.qdCountRecv(kind) // close the runq hop once send() re-armed it
 		}
 	}
 	if p.pe == p.rt.homePE(el.cid, el.key) {
@@ -1125,7 +1068,6 @@ func (p *peState) migrateIn(mm *migrateMsg) {
 	el.redNo.Store(mm.RedNo)
 	el.setLoad(time.Duration(mm.Load * float64(time.Second)))
 	el.migrateTo.Store(-1)
-	el.stealable = p.rt.cfg.StealEnabled && coll.ct.stealable
 	if coll.ct.fast {
 		el.fast = v.(FastDispatcher)
 	}

@@ -132,24 +132,10 @@ type Config struct {
 	// coordinator) and be identical on every node. Nil (the default) keeps
 	// the classic fixed-membership behaviour at zero cost.
 	InitialActive []int
-	// StealEnabled turns on within-node work stealing (steal.go): idle PEs
-	// steal whole-chare run grants from sibling PEs' run queues. Chares of
-	// types with threaded or when-gated entry methods stay pinned to their
-	// owner PE; everything else becomes stealable while keeping per-sender
-	// FIFO order and one-PE-at-a-time execution (DESIGN.md §3.9). Requires
-	// the lock-free mailbox (incompatible with MutexMailbox).
-	StealEnabled bool
-	// StealDequeSize bounds each PE's local deque of stealable run grants
-	// (rounded up to a power of two; overflow falls back to a self-message,
-	// preserving work). 0 selects the default (256).
-	StealDequeSize int
-	// StealSeed seeds each PE's victim-selection RNG (PE index is mixed in),
-	// making steal sequences replayable for deterministic tests. 0 keeps
-	// the default seed.
+	// StealSeed seeds each PE's victim-selection RNG for within-node work
+	// stealing (steal.go; PE index is mixed in), making steal sequences
+	// replayable for deterministic tests. 0 keeps the default seed.
 	StealSeed int64
-	// MutexMailbox restores the legacy mutex+condvar ring mailbox in place
-	// of the default lock-free MPSC queue; an ablation/escape hatch.
-	MutexMailbox bool
 }
 
 // Runtime is one node of a charmgo job: it hosts PEs, the chare-type
@@ -182,12 +168,11 @@ type Runtime struct {
 	entry   func(*Chare)
 	started atomic.Bool
 
-	// work stealing (steal.go); all zero when Config.StealEnabled is off
+	// work stealing (steal.go)
 	nIdle        atomic.Int32 // PEs currently parked with empty deques
 	stealPause   atomic.Int32 // >0: thieves must hand grants back to owners
 	stolenActive atomic.Int32 // grants currently executing on non-owner PEs
 	runqBacklog  atomic.Int64 // messages parked in element run queues
-	dequeSize    int          // resolved Config.StealDequeSize (power of two)
 	exited       atomic.Bool
 	exitFn       sync.Once
 	wg           sync.WaitGroup
@@ -248,9 +233,6 @@ func NewRuntime(cfg Config) *Runtime {
 	if cfg.PEs <= 0 {
 		cfg.PEs = 1
 	}
-	if cfg.StealEnabled && cfg.MutexMailbox {
-		panic("core: Config.StealEnabled requires the lock-free mailbox (MutexMailbox must be false)")
-	}
 	rt := &Runtime{
 		cfg:      cfg,
 		types:    map[string]*chareType{},
@@ -260,13 +242,6 @@ func NewRuntime(cfg Config) *Runtime {
 		done:     make(chan struct{}),
 		running:  make(chan struct{}),
 		frags:    map[fragKey]*fragAsm{},
-	}
-	rt.dequeSize = cfg.StealDequeSize
-	if rt.dequeSize <= 0 {
-		rt.dequeSize = defaultDequeSize
-	}
-	for rt.dequeSize&(rt.dequeSize-1) != 0 {
-		rt.dequeSize++ // round up to a power of two (ring index masking)
 	}
 	rt.arity = cfg.TreeArity
 	if rt.arity == 0 {
@@ -793,12 +768,14 @@ func (rt *Runtime) BcastSends() int64 { return rt.nBcastSends.Load() }
 // collection metadata
 
 func (rt *Runtime) putCollMeta(cm *createMsg) {
+	rt.collWrMu.Lock()
+	// Every local PE handles the same broadcast *createMsg, so the type is
+	// resolved under collWrMu: the first PE writes it, later ones only read.
 	if cm.ct == nil {
 		rt.mu.Lock()
 		cm.ct = rt.types[cm.Type] // may stay nil for types unknown here
 		rt.mu.Unlock()
 	}
-	rt.collWrMu.Lock()
 	old := *rt.colls.Load()
 	next := make(map[CID]*createMsg, len(old)+1)
 	for k, v := range old {

@@ -7,9 +7,9 @@ import (
 	"time"
 )
 
-// Work stealing (DESIGN.md §3.9). With Config.StealEnabled, messages for
-// elements of stealable chare types (no threaded or when-gated entry
-// methods) are not executed inline by the routing PE. Instead:
+// Work stealing (DESIGN.md §3.9): the PE scheduler. Messages for elements of
+// stealable chare types (no threaded or when-gated entry methods) go through
+// the element's run grant rather than straight to the entry method:
 //
 //   - The owner PE routes each message into the element's run queue
 //     (elemRunq, a small mutex-guarded FIFO). Routing stays owner-side, so
@@ -24,14 +24,17 @@ import (
 //     top of a victim's deque (randomized victim choice with last-victim
 //     affinity). A stolen grant executes the element's queued messages on
 //     the thief, then releases.
-//   - Owner-only work discovered at the end of a grant (migration requests,
-//     AtSync bookkeeping) makes a thief hand the grant back to the owner as
-//     an mRunGrant message; deque overflow parks the grant in the pushing
-//     PE's private grantOvf FIFO until deque slots free up, so grants are
-//     never dropped and overflow costs no allocation.
+//   - An entry method that requests owner-only work (Migrate, AtSync) ends
+//     its grant's batch: the rest of the batch goes back on the run queue,
+//     and the owner runs the tail (migration, AtSync stats) before any later
+//     message, as recheck does for pinned elements. A thief hands such a
+//     grant back to the owner as an mRunGrant message.
+//   - Deque overflow parks the grant in the pushing PE's private grantOvf
+//     FIFO until deque slots free up, so grants are never dropped and
+//     overflow costs no allocation.
 //
 // Quiescence counting treats the run-queue hop as one extra send/recv pair
-// (armed at runqPush, closed when the grant executes the message), and
+// (armed at runqPush, closed after the grant has executed the message), and
 // mRunGrant itself is countable, so QD cannot fire while granted work is
 // parked in a deque or run queue.
 //
@@ -39,7 +42,14 @@ import (
 // stealPause/stolenActive handshake (pauseStealing): new steals stop, and
 // any grant a thief already holds is handed back to its owner untouched.
 
-const defaultDequeSize = 256
+// defaultDequeSize is each PE's deque capacity (a power of two: ring index
+// masking). grantCap caps outstanding published grants well below it: past
+// that point thieves are not keeping up, and further publishing only buys
+// runq materialization and GC pressure (see runqPush).
+const (
+	defaultDequeSize = 256
+	grantCap         = 64
+)
 
 // elemRunq is one element's FIFO of granted-but-unexecuted messages. The
 // mutex only ever contends between the owner (push, while routing) and the
@@ -81,6 +91,14 @@ func (r *elemRunq) recycle(q []*Message) {
 	if r.free == nil {
 		r.free = q[:0]
 	}
+	r.mu.Unlock()
+}
+
+// requeue puts ms back at the head of the queue, ahead of anything pushed
+// since the takeAll they came from, so FIFO order is unchanged.
+func (r *elemRunq) requeue(ms []*Message) {
+	r.mu.Lock()
+	r.q = append(append(make([]*Message, 0, len(ms)+len(r.q)), ms...), r.q...)
 	r.mu.Unlock()
 }
 
@@ -172,9 +190,9 @@ func (d *stealDeque) size() int64 {
 func (p *peState) runqPush(el *element, m *Message) {
 	// Inline fast path: a published grant only pays off when some sibling
 	// is parked and can steal it. With nobody idle, acquire the grant and
-	// execute here — this keeps balanced workloads at near lock-free cost
-	// (one CAS and an empty takeAll over the full deque round trip) while
-	// skew still publishes: under skew the starved PEs park, nIdle rises,
+	// execute here — this keeps balanced workloads at the cost of one CAS
+	// over a direct call (no deque round trip, no runq) while skew still
+	// publishes: under skew the starved PEs park, nIdle rises,
 	// and the slow path below shares every subsequent grant.
 	//
 	// The grantCap clause throttles publishing the same way when thieves
@@ -185,7 +203,7 @@ func (p *peState) runqPush(el *element, m *Message) {
 	// unaffected — there the thieves drain the deque continuously, so
 	// occupancy stays below the cap and publishing resumes at once.
 	if (p.rt.nIdle.Load() == 0 ||
-		p.deque.size() >= p.grantCap || len(p.grantOvf) > p.ovfHead) &&
+		p.deque.size() >= grantCap || len(p.grantOvf) > p.ovfHead) &&
 		el.sched.CompareAndSwap(0, 1) {
 		p.runInline(el, m)
 		return
@@ -200,31 +218,23 @@ func (p *peState) runqPush(el *element, m *Message) {
 }
 
 // runInline executes m under a grant the routing owner just acquired,
-// without publishing it. FIFO is safe: any older messages are runq
-// leftovers from a release race (drained first), and no new ones can
-// arrive while we hold the grant — runq pushes happen only on this
-// goroutine. For the same reason the release below needs no re-check
-// loop: the queue cannot have refilled behind us.
+// without publishing it. No new runq messages can arrive while we hold the
+// grant — runq pushes happen only on this goroutine — so the release below
+// needs no re-check loop. Leftovers from a release race must run first:
+// then m joins them and the grant runs as a whole.
 func (p *peState) runInline(el *element, m *Message) {
-	rt := p.rt
+	if el.runq != nil && el.runq.len() > 0 {
+		p.rt.qdCountSend(m.Kind)
+		p.rt.runqBacklog.Add(1)
+		el.runq.push(m)
+		p.runGrant(el)
+		return
+	}
 	el.base.ec.p = p
-	if el.runq != nil {
-		batch := el.runq.takeAll()
-		for _, om := range batch {
-			rt.runqBacklog.Add(-1)
-			rt.qdCountRecv(om.Kind)
-			p.execGranted(el, om)
-		}
-		el.runq.recycle(batch)
-	}
 	p.execGranted(el, m)
-	if el.migrateTo.Load() >= 0 || el.atSync.Load() {
-		p.ownerTail(el) // we are the owner: routing is owner-side
-		if el.dead {
-			return
-		}
+	if p.grantTail(el) {
+		el.sched.Store(0)
 	}
-	el.sched.Store(0)
 }
 
 // pushGrant publishes a held run grant on this PE's deque and wakes one
@@ -264,9 +274,13 @@ func (p *peState) refillDeque() {
 	p.ovfHead = 0
 }
 
-// ---- the work-stealing scheduler loop ----
+// ---- the scheduler loop ----
 
-func (p *peState) stealLoop() {
+// loop is the PE scheduler: Charm++-style message-driven execution, one
+// entry method per chare at a time. It drains the mailbox first, then this
+// PE's published run grants, then steals from siblings, and parks only when
+// all three are empty.
+func (p *peState) loop() {
 	tr := p.rt.cfg.Trace
 	lpe := p.lpe()
 	for !p.exiting {
@@ -300,7 +314,7 @@ func (p *peState) stealLoop() {
 		if tr != nil {
 			idleAt = tr.Since()
 		}
-		p.lfmb.park(p.alsoFn)
+		p.mbox.park(p.alsoFn)
 		if p.idle.CompareAndSwap(true, false) {
 			p.rt.nIdle.Add(-1)
 		}
@@ -392,26 +406,15 @@ func (p *peState) runGrant(el *element) {
 	// through ec.p: point it at the executing PE for the duration. Safe —
 	// the grant serializes every executor of this element.
 	el.base.ec.p = p
-	rounds := 0
-	for {
-		batch := el.runq.takeAll()
-		for _, m := range batch {
-			rt.runqBacklog.Add(-1)
-			rt.qdCountRecv(m.Kind) // close the runq hop armed at runqPush
-			p.execGranted(el, m)
-		}
-		el.runq.recycle(batch)
-		// Owner-only tail work: migration and AtSync stats need the routing
-		// PE's maps, so a thief hands the grant home instead.
-		if el.migrateTo.Load() >= 0 || el.atSync.Load() {
-			if p != el.owner {
-				p.handback(el)
-				return
-			}
-			p.ownerTail(el)
-			if el.dead {
-				return // migrated away; migrateOut drained the runq
-			}
+	// Tail work requested before the grant reached us (a thief's handback,
+	// an owner-ordered migration) runs before any queued message.
+	if !p.grantTail(el) {
+		return
+	}
+	for rounds := 0; ; rounds++ {
+		p.runBatch(el)
+		if !p.grantTail(el) {
+			return
 		}
 		// Release, then re-check: a runqPush that lost the sched CAS to us
 		// relies on this re-check to get its message run.
@@ -422,14 +425,55 @@ func (p *peState) runGrant(el *element) {
 		if !el.sched.CompareAndSwap(0, 1) {
 			return // the racing runqPush (or an owner op) took the grant
 		}
-		rounds++
-		if rounds > 4 {
+		if rounds >= 4 {
 			// Steady inflow: requeue on our deque instead of starving the
 			// mailbox behind one hot element.
 			p.pushGrant(el)
 			return
 		}
 	}
+}
+
+// runBatch executes el's queued messages in FIFO order. It stops after an
+// entry method that requests a migration or reaches AtSync and puts the
+// untaken messages back at the head of the run queue, so the owner-only
+// tail runs before any later message — the order recheck gives pinned
+// elements.
+func (p *peState) runBatch(el *element) {
+	rt := p.rt
+	batch := el.runq.takeAll()
+	for i, m := range batch {
+		synced := el.atSync.Load()
+		rt.runqBacklog.Add(-1)
+		p.execGranted(el, m)
+		rt.qdCountRecv(m.Kind) // close the runq hop armed at runqPush
+		if i+1 < len(batch) && (el.migrateTo.Load() >= 0 || !synced && el.atSync.Load()) {
+			el.runq.requeue(batch[i+1:])
+			break
+		}
+	}
+	el.runq.recycle(batch)
+}
+
+// grantTail performs pending owner-only tail work — the grant-path
+// analogue of recheck's tail. Migration and AtSync stats need the routing
+// PE's maps, so a thief hands the grant home instead. It reports whether
+// the caller still holds the grant on a live element.
+func (p *peState) grantTail(el *element) bool {
+	migrating := el.migrateTo.Load() >= 0
+	if !migrating && !el.atSync.Load() {
+		return true
+	}
+	if p != el.owner {
+		p.handback(el)
+		return false
+	}
+	if migrating {
+		p.migrateOut(el)
+		return !el.dead // migrated away: migrateOut forwarded the runq
+	}
+	p.lbMaybeSendStats(el.coll)
+	return true
 }
 
 // execGranted runs one granted message on the executing PE.
@@ -446,18 +490,6 @@ func (p *peState) execGranted(el *element, m *Message) {
 		p.chanDeliver(el, cm)
 	default:
 		panic("core: non-stealable message kind in run queue")
-	}
-}
-
-// ownerTail performs the owner-only end-of-grant work (the steal-mode
-// analogue of recheck's tail): migration out and AtSync LB bookkeeping.
-func (p *peState) ownerTail(el *element) {
-	if el.migrateTo.Load() >= 0 {
-		p.migrateOut(el)
-		return
-	}
-	if el.atSync.Load() {
-		p.lbMaybeSendStats(el.coll)
 	}
 }
 
@@ -480,12 +512,9 @@ func (p *peState) grabGrant(el *element) bool {
 
 // pauseStealing stops thieves: no new steals begin, and every grant already
 // executing on a non-owner PE finishes its current message batch and is
-// handed back to its owner before this returns. No-op when stealing is off.
-// Pauses nest; each pauseStealing pairs with one resumeStealing.
+// handed back to its owner before this returns. Pauses nest; each
+// pauseStealing pairs with one resumeStealing.
 func (rt *Runtime) pauseStealing() {
-	if !rt.cfg.StealEnabled {
-		return
-	}
 	rt.stealPause.Add(1)
 	for rt.stolenActive.Load() != 0 {
 		runtime.Gosched()
@@ -493,14 +522,11 @@ func (rt *Runtime) pauseStealing() {
 }
 
 func (rt *Runtime) resumeStealing() {
-	if !rt.cfg.StealEnabled {
-		return
-	}
 	rt.stealPause.Add(-1)
 }
 
 // StealsTotal reports the number of run grants this node's PEs have stolen
-// from sibling deques since start. Always 0 when Config.StealEnabled is off.
+// from sibling deques since start.
 func (rt *Runtime) StealsTotal() int64 {
 	var n int64
 	for _, p := range rt.pes {

@@ -13,7 +13,7 @@ import (
 // stealCfg is the standard single-node work-stealing test configuration: a
 // fixed seed keeps victim selection reproducible across runs.
 func stealCfg(pes int) Config {
-	return Config{PEs: pes, StealEnabled: true, StealSeed: 12345}
+	return Config{PEs: pes, StealSeed: 12345}
 }
 
 // StealSleeper is a stealable chare (no threaded or when-gated methods)
@@ -173,7 +173,7 @@ func TestStealSingleExecution(t *testing.T) {
 // grabGrant), and ResumeFromSync routed through the run-grant path.
 func TestStealLBRotation(t *testing.T) {
 	const rounds = 3
-	runJob(t, Config{PEs: 4, StealEnabled: true, StealSeed: 7, LB: rotateAll{}}, func(rt *Runtime) {
+	runJob(t, Config{PEs: 4, StealSeed: 7, LB: rotateAll{}}, func(rt *Runtime) {
 		rt.Register(&LBUnit{})
 	}, func(self *Chare) {
 		done := self.CreateFuture()
@@ -181,6 +181,56 @@ func TestStealLBRotation(t *testing.T) {
 		arr.Call("Setup", rounds, done)
 		if got := done.Get(); got != 8*(rounds+1) {
 			t.Errorf("history total = %v, want %d", got, 8*(rounds+1))
+		}
+	})
+}
+
+// StealGroupMember is a stealable group element that records, per message,
+// whether it ran on a thief and whether MyPE still named its hosting PE.
+type StealGroupMember struct {
+	Chare
+	Stolen, WrongPE int
+}
+
+func (g *StealGroupMember) Nap(us int, done Future) {
+	time.Sleep(time.Duration(us) * time.Microsecond)
+	if g.ec.p != g.ec.el.owner {
+		g.Stolen++
+	}
+	if g.MyPE() != PE(g.ThisIndex[0]) {
+		g.WrongPE++
+	}
+	done.Send(1)
+}
+
+func (g *StealGroupMember) Tally() []int { return []int{g.Stolen, g.WrongPE} }
+
+// TestStealMyPEIsHost: a group element whose run grant is stolen still
+// reports its hosting PE (its group index) from MyPE, not the thief's.
+func TestStealMyPEIsHost(t *testing.T) {
+	const msgs = 64
+	runJob(t, stealCfg(4), func(rt *Runtime) {
+		rt.Register(&StealGroupMember{})
+		rt.Register(&StealSleeper{})
+	}, func(self *Chare) {
+		g := self.NewGroup(&StealGroupMember{})
+		done := self.CreateFuture(2 * msgs)
+		// Sleepers crowd PE 1 so its deque holds grants for thieves to take.
+		var ps []Proxy
+		for i := 0; i < 8; i++ {
+			ps = append(ps, self.NewChare(&StealSleeper{}, PE(1)))
+		}
+		for m := 0; m < msgs; m++ {
+			g.At(1).Call("Nap", 100, done)
+			ps[m%len(ps)].Call("Nap", 100, done)
+		}
+		done.Get()
+		got := g.At(1).CallRet("Tally").Get().([]int)
+		if got[0] == 0 {
+			t.Error("group element 1's grant was never stolen")
+		}
+		if got[1] != 0 {
+			t.Errorf("MyPE reported a PE other than 1 in %d of %d runs (%d stolen)", got[1], msgs, got[0])
 		}
 	})
 }
@@ -200,7 +250,7 @@ func (w *StealWaiter) WaitForFlag() int {
 }
 
 // TestStealThreadedTypeStaysPinned: threaded/when-gated types must bypass
-// the run-grant machinery entirely and still work under StealEnabled.
+// the run-grant machinery entirely and still work on a stealing node.
 func TestStealThreadedTypeStaysPinned(t *testing.T) {
 	runJob(t, stealCfg(2), func(rt *Runtime) {
 		rt.Register(&StealWaiter{}, Threaded("WaitForFlag"))
@@ -209,30 +259,7 @@ func TestStealThreadedTypeStaysPinned(t *testing.T) {
 		f := p.CallRet("WaitForFlag")
 		p.Call("SetFlag", 42)
 		if got := f.Get(); got != 42 {
-			t.Errorf("threaded wait under StealEnabled = %v, want 42", got)
-		}
-	})
-}
-
-// TestStealConfigValidation: stealing requires the lock-free mailbox.
-func TestStealConfigValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("NewRuntime(StealEnabled+MutexMailbox) did not panic")
-		}
-	}()
-	NewRuntime(Config{PEs: 2, StealEnabled: true, MutexMailbox: true})
-}
-
-// TestMutexMailboxFallback: the legacy ring mailbox stays selectable.
-func TestMutexMailboxFallback(t *testing.T) {
-	runJob(t, Config{PEs: 2, MutexMailbox: true}, func(rt *Runtime) {
-		rt.Register(&Hello{})
-	}, func(self *Chare) {
-		p := self.NewChare(&Hello{}, PE(1))
-		p.Call("SayHi", "via mutex mailbox")
-		if got := p.CallRet("Greetings").Get(); got != 1 {
-			t.Errorf("Greetings = %v, want 1", got)
+			t.Errorf("threaded wait on a stealing node = %v, want 42", got)
 		}
 	})
 }
@@ -330,7 +357,7 @@ func TestStealElasticLeaveQuiesced(t *testing.T) {
 		rts[i] = NewRuntime(Config{
 			PEs: pes, Transport: nw.Endpoint(i),
 			InitialActive: []int{0, 1, 2},
-			StealEnabled:  true, StealSeed: 99,
+			StealSeed:     99,
 		})
 		rts[i].Register(&EShard{})
 	}
@@ -382,7 +409,6 @@ func TestStealElasticLeaveQuiesced(t *testing.T) {
 // cross-node traffic flows — a 2-node smoke with stealing on both nodes.
 func TestStealMultiNode(t *testing.T) {
 	runMultiNode(t, 2, 2, func(cfg *Config) {
-		cfg.StealEnabled = true
 		cfg.StealSeed = 3
 	}, func(rt *Runtime) {
 		rt.Register(&StealSleeper{})

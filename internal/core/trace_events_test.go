@@ -37,9 +37,15 @@ func TestTraceEMRecvIdleReductionEvents(t *testing.T) {
 	})
 	evs := tr.Snapshot()
 
-	// One SumPE entry method per PE, exactly once each.
+	// One SumPE entry method per group element, exactly once each, traced on
+	// the PE that ran it: the element's own PE, or an idle sibling that stole
+	// its run grant and traced the steal. Net of steals, one per PE.
 	ems := countEvents(evs, trace.EvEM, "SumPE")
 	perPE := map[int]int{}
+	for _, e := range countEvents(evs, trace.EvSteal, "") {
+		perPE[e.PE]--
+		perPE[e.Dest]++
+	}
 	for _, e := range ems {
 		perPE[e.PE]++
 		if e.Chare != "NodeWorker" {
@@ -50,7 +56,7 @@ func TestTraceEMRecvIdleReductionEvents(t *testing.T) {
 		}
 	}
 	if len(ems) != 2 || perPE[0] != 1 || perPE[1] != 1 {
-		t.Errorf("SumPE EM events per PE = %v, want exactly one on PE 0 and PE 1", perPE)
+		t.Errorf("SumPE EM events per PE, net of steals = %v, want exactly one on PE 0 and PE 1", perPE)
 	}
 
 	// The job performs exactly one reduction; it completes on the root PE 0.

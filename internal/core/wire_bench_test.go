@@ -49,7 +49,7 @@ func BenchmarkDecodeMsgInvoke(b *testing.B) {
 
 func BenchmarkMailbox(b *testing.B) {
 	b.Run("push-pop", func(b *testing.B) {
-		mb := newMailbox()
+		mb := newLFMailbox()
 		m := &Message{}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -58,10 +58,9 @@ func BenchmarkMailbox(b *testing.B) {
 		}
 	})
 	b.Run("pushFront-pop", func(b *testing.B) {
-		mb := newMailbox()
+		mb := newLFMailbox()
 		m := &Message{}
-		// Keep a standing queue so pushFront exercises a non-empty ring (the
-		// seed implementation re-allocated the whole queue here).
+		// Keep a standing queue so pushFront jumps a non-empty main queue.
 		for i := 0; i < 1024; i++ {
 			mb.push(m)
 		}
@@ -72,7 +71,7 @@ func BenchmarkMailbox(b *testing.B) {
 		}
 	})
 	b.Run("pushAll-64", func(b *testing.B) {
-		mb := newMailbox()
+		mb := newLFMailbox()
 		batch := make([]*Message, 64)
 		for i := range batch {
 			batch[i] = &Message{}

@@ -23,7 +23,10 @@ type Block struct {
 	NNbrs     int
 	LinIdx    int // linear block index (for the synthetic load factor)
 	WorkTime  float64
-	WindowSec float64 // work since the last LB round (balance metric)
+	WindowSec float64       // work since the last LB round (balance metric)
+	KernelMin time.Duration // fastest kernel seen: the Imbalance model's t_k
+	Syncing   bool          // at AtSync, until this block's ResumeFromSync
+	Early     []Ghost       // faces that arrived while Syncing
 	Done      core.Future
 	Stats     core.Future
 }
@@ -101,11 +104,29 @@ func (b *Block) sendGhosts() {
 	}
 }
 
+// Ghost is a neighbor face held back until the block resumes.
+type Ghost struct {
+	Dir  int
+	Face []float64
+}
+
 // RecvGhost receives one neighbor face for the given iteration. The
 // when-condition (installed by Register) defers delivery until this block
-// has reached that iteration, so no application-level buffering or explicit
-// synchronization is needed (paper section II-E).
+// has reached that iteration, so no application-level buffering is needed
+// within a load-balancing window (paper section II-E).
 func (b *Block) RecvGhost(iter, dir int, face []float64) {
+	if b.Syncing {
+		// A neighbor that already resumed from the load-balancing round sent
+		// this before our own ResumeFromSync ran (the resume reaches PEs one
+		// at a time). Consuming it now would step this block before it has
+		// sent its own faces for the iteration.
+		b.Early = append(b.Early, Ghost{Dir: dir, Face: face})
+		return
+	}
+	b.addGhost(dir, face)
+}
+
+func (b *Block) addGhost(dir int, face []float64) {
 	b.G.unpackGhost(dir, face)
 	b.MsgCount++
 	if b.MsgCount == b.NNbrs {
@@ -118,18 +139,18 @@ func (b *Block) RecvGhost(iter, dir int, face []float64) {
 // the iteration, and decides what happens next: more ghosts, an AtSync load
 // balancing point, or completion.
 func (b *Block) step() {
-	t0 := time.Now()
-	b.G.compute()
-	kernel := time.Since(t0)
-	if b.P.WorkScale > 0 {
-		SyntheticWork(b.P.WorkScale * float64(b.G.SX*b.G.SY*b.G.SZ))
-	}
-	if b.P.Imbalance {
-		// Extend compute by the paper's alpha factor: wait t_k * alpha_i.
-		alpha := Alpha(b.LinIdx, b.P.NumBlocks(), b.Iter)
-		BusyWait(time.Duration(float64(kernel) * alpha))
-	}
-	elapsed := time.Since(t0).Seconds()
+	elapsed := measureWork(b.P.Imbalance, func() {
+		t0 := time.Now()
+		b.G.compute()
+		kernel := time.Since(t0)
+		if b.P.WorkScale > 0 {
+			SyntheticWork(b.P.WorkScale * float64(b.G.SX*b.G.SY*b.G.SZ))
+		}
+		if b.P.Imbalance {
+			// Extend compute by the paper's alpha factor: wait t_k * alpha_i.
+			imbalance(kernel, &b.KernelMin, b.LinIdx, b.P.NumBlocks(), b.Iter)
+		}
+	}).Seconds()
 	b.WorkTime += elapsed
 	b.WindowSec += elapsed
 	b.Iter++
@@ -137,6 +158,11 @@ func (b *Block) step() {
 	case b.Iter >= b.P.Iters:
 		b.Contribute(b.G.checksum(), core.SumReducer, b.Done)
 	case b.P.LBPeriod > 0 && b.Iter%b.P.LBPeriod == 0:
+		// Balance on the work measure the balance metric uses (thread CPU
+		// time under Imbalance): the runtime's wall-clock entry-method time
+		// would also count every stretch this PE's thread was descheduled.
+		b.SetLoad(b.WindowSec)
+		b.Syncing = true
 		b.AtSync()
 	default:
 		b.sendGhosts()
@@ -145,8 +171,14 @@ func (b *Block) step() {
 
 // ResumeFromSync restarts the iteration after a load-balancing round.
 func (b *Block) ResumeFromSync() {
+	b.Syncing = false
 	b.WindowSec = 0
 	b.sendGhosts()
+	early := b.Early
+	b.Early = nil
+	for _, g := range early {
+		b.addGhost(g.Dir, g.Face)
+	}
 }
 
 // ReportStats contributes [pe, windowWork, totalWork] per block, gathered at
@@ -181,7 +213,8 @@ type Result struct {
 	WallSeconds   float64
 	TimePerStepMS float64
 	// MaxOverAvg is the ratio of max to average per-PE work in the final LB
-	// window: 1.0 is perfect balance (only meaningful with Imbalance).
+	// window: 1.0 is perfect balance (only meaningful with Imbalance, where
+	// work is thread CPU time; see measureWork).
 	MaxOverAvg float64
 	PEWork     []float64
 }

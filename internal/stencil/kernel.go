@@ -8,6 +8,8 @@ package stencil
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"time"
 )
 
 // Params describes one stencil3d run.
@@ -235,6 +237,45 @@ func Alpha(i, n, iter int) float64 {
 		return 10
 	}
 	return 100*fi/fn + 5*float64(iter%10)
+}
+
+// imbalance extends a step by the synthetic load of section V-B: it busy-waits
+// Alpha times the block's kernel time. The kernel time used is the fastest
+// this block has measured so far (*kmin, updated here): a kernel that was
+// descheduled or ran with a cold cache (a migrated block's first step)
+// would otherwise be multiplied by Alpha (up to 125) into a burst of real
+// work that no load-balancing window predicts.
+func imbalance(kernel time.Duration, kmin *time.Duration, i, n, iter int) {
+	if *kmin == 0 || kernel < *kmin {
+		*kmin = kernel
+	}
+	BusyWait(time.Duration(float64(*kmin) * Alpha(i, n, iter)))
+}
+
+// measureWork runs f and returns its duration. With cpu set it is the CPU
+// time of the OS thread that ran f, so that stretches the thread spent
+// descheduled (other processes, or more PEs than cores) do not count as
+// work; f then runs locked to its thread, so no other goroutine runs
+// there, and is charged, while f is preempted. Imbalance runs set it: their
+// per-PE work is the balance metric and the LB input, at microseconds per
+// step. The lock costs kernel-bound runs, which only time whole solves, a
+// few percent, so they keep wall time. Without a per-thread clock it falls
+// back to wall time.
+func measureWork(cpu bool, f func()) time.Duration {
+	if !cpu {
+		t0 := time.Now()
+		f()
+		return time.Since(t0)
+	}
+	runtime.LockOSThread()
+	defer runtime.UnlockOSThread()
+	c0, ok0 := threadCPU()
+	t0 := time.Now()
+	f()
+	if c1, ok1 := threadCPU(); ok0 && ok1 {
+		return c1 - c0
+	}
+	return time.Since(t0)
 }
 
 // SyntheticWork spins for roughly `units` abstract work units, returning a

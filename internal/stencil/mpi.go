@@ -54,6 +54,7 @@ func RunMPI(p Params) (Result, error) {
 		c.Barrier()
 		t0 := time.Now()
 		var work float64
+		var kmin time.Duration
 		for iter := 0; iter < p.Iters; iter++ {
 			var reqs []*mpi.Request
 			var dirs []int
@@ -72,17 +73,17 @@ func RunMPI(p Params) (Result, error) {
 			for i, r := range reqs {
 				bd.unpackGhost(dirs[i], r.Wait().([]float64))
 			}
-			tc := time.Now()
-			bd.compute()
-			kernel := time.Since(tc)
-			if p.WorkScale > 0 {
-				SyntheticWork(p.WorkScale * float64(sx*sy*sz))
-			}
-			if p.Imbalance {
-				alpha := Alpha(rank, n, iter)
-				BusyWait(time.Duration(float64(kernel) * alpha))
-			}
-			work += time.Since(tc).Seconds()
+			work += measureWork(p.Imbalance, func() {
+				tc := time.Now()
+				bd.compute()
+				kernel := time.Since(tc)
+				if p.WorkScale > 0 {
+					SyntheticWork(p.WorkScale * float64(sx*sy*sz))
+				}
+				if p.Imbalance {
+					imbalance(kernel, &kmin, rank, n, iter)
+				}
+			}).Seconds()
 		}
 		c.Barrier()
 		wall := time.Since(t0).Seconds()

@@ -2,10 +2,28 @@ package transport
 
 import (
 	"encoding/binary"
+	"net"
 	"sync"
 	"testing"
 	"time"
 )
+
+// freeAddrs returns n distinct loopback addresses whose ports the kernel
+// reported free. A fixed port in the ephemeral range can be held by the
+// outgoing side of a connection a previous test (or package) opened.
+func freeAddrs(t *testing.T, n int) []string {
+	t.Helper()
+	addrs := make([]string, n)
+	for i := range addrs {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close() // held until all n are chosen, so they differ
+		addrs[i] = ln.Addr().String()
+	}
+	return addrs
+}
 
 // elasticFrames installs a handler that records (from, first payload byte).
 func elasticFrames(t Transport) (read func() [][2]int) {
@@ -43,7 +61,7 @@ func waitFrames(t *testing.T, read func() [][2]int, n int) [][2]int {
 // all. Slot 2 then starts isolated, AddPeers its way in, and traffic flows
 // in both directions; finally the actives DropPeer it cleanly.
 func TestTCPElasticPartialMesh(t *testing.T) {
-	addrs := []string{"127.0.0.1:39141", "127.0.0.1:39142", "127.0.0.1:39143"}
+	addrs := freeAddrs(t, 3)
 	mesh := []int{0, 1}
 	ts := make([]*TCP, 3)
 	errs := make([]error, 3)
@@ -134,7 +152,7 @@ func TestTCPElasticPartialMesh(t *testing.T) {
 // its node id: the accepting side must attribute inbound frames to the
 // dialer's slot, not to the order connections arrived in.
 func TestTCPElasticJoinerHello(t *testing.T) {
-	addrs := []string{"127.0.0.1:39144", "127.0.0.1:39145", "127.0.0.1:39146"}
+	addrs := freeAddrs(t, 3)
 	a, err := NewTCPElastic(0, addrs, []int{0}, 10*time.Second)
 	if err != nil {
 		t.Fatalf("node 0 startup: %v", err)
